@@ -2,7 +2,7 @@ package jobs
 
 import org.apache.spark.sql.SparkSession
 
-/** Shared bootstrap for the spark-submit entrypoints: one local session,
+/** Shared bootstrap for the `jobs.Run` entrypoint: one local session,
   * modest shuffle parallelism (the datasets are small), broadcast joins off
   * so the shuffle join path is exercised (same configuration as the tests).
   */

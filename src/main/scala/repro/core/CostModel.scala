@@ -78,16 +78,8 @@ object CostModel {
   }
 
   /** COM (§3.3): Eq. (1) probes; generation only at the final expansion. */
-  def com(tree: JoinTree, order: Seq[Int], flatOutput: Boolean): PlanCost = {
-    validateOrder(tree, order)
-    var eval   = 1
-    var probes = 0.0
-    for (l <- order) {
-      probes += tree.probeCost(l) * Survival.probesCom(tree, eval, l)
-      eval |= bit(l)
-    }
-    PlanCost(probes, 0, 0, if (flatOutput) tree.expectedOutput else 0.0)
-  }
+  def com(tree: JoinTree, order: Seq[Int], flatOutput: Boolean): PlanCost =
+    steps(tree, order, None, flatOutput)
 
   /** BVP+STD (§3.5): a stateful sweep over the flat stream. Bitvectors of a
     * relation become available the moment its parent is joined (for
@@ -98,20 +90,19 @@ object CostModel {
     */
   def bvpStd(tree: JoinTree, order: Seq[Int], eps: Double = DefaultEps): PlanCost = {
     validateOrder(tree, order)
-    var t   = tree.driverSize
-    var bvP = 0.0
-    var htP = 0.0
-    var gen = 0.0
-    def applyBvs(of: Int): Unit =
-      for (c <- tree.children(of)) { bvP += t; t *= math.min(1.0, tree.stats(c).m + eps) }
-    applyBvs(0)
+    var eval = 1
+    var t    = tree.driverSize
+    var bvP  = Survival.bvSweep(tree, 0, t, eps)
+    var htP  = 0.0
+    var gen  = 0.0
+    t = Survival.childFactors(t, tree, eval, 0, eps, -1)
     for (l <- order) {
       htP += tree.probeCost(l) * t
-      val st   = tree.stats(l)
-      val pass = math.min(1.0, st.m + eps)
-      t *= (st.m / pass) * st.fo
+      t = Survival.joined(tree, l, t, eps)
       gen += t
-      applyBvs(l)
+      eval |= bit(l)
+      bvP += Survival.bvSweep(tree, l, t, eps)
+      t = Survival.childFactors(t, tree, eval, l, eps, -1)
     }
     PlanCost(htP, bvP, 0, gen)
   }
@@ -121,26 +112,22 @@ object CostModel {
     * level at application time.
     */
   def bvpCom(tree: JoinTree, order: Seq[Int], flatOutput: Boolean,
-             eps: Double = DefaultEps): PlanCost = {
+             eps: Double = DefaultEps): PlanCost =
+    steps(tree, order, Some(eps), flatOutput)
+
+  /** COM and BVP+COM: `Survival.Step` summed along the order. */
+  private def steps(tree: JoinTree, order: Seq[Int], eps: Option[Double],
+                    flatOutput: Boolean): PlanCost = {
     validateOrder(tree, order)
-    val e      = Some(eps)
-    var eval   = 1
-    var htP    = 0.0
-    var bvP    = 0.0
-    // Bitvectors of the driver's children: applied to the N driver tuples
-    // up front, sequentially.
-    var t = tree.driverSize
-    for (c <- tree.children(0)) { bvP += t; t *= math.min(1.0, tree.stats(c).m + eps) }
+    val step = new Survival.Step(tree, eps)
+    var eval = 1
+    var htP  = 0.0
+    var bvP  = step.driverBv
     for (l <- order) {
-      htP += tree.probeCost(l) * Survival.probesCom(tree, eval, l, e)
+      step(eval, l)
+      htP += step.ht
+      bvP += step.bv
       eval |= bit(l)
-      // BVs of l's children become available now; they filter the entries
-      // at l's level.
-      var entries = Survival.entriesAfterJoin(tree, eval, l, e)
-      for (c <- tree.children(l)) {
-        bvP += entries
-        entries *= math.min(1.0, tree.stats(c).m + eps)
-      }
     }
     PlanCost(htP, bvP, 0, if (flatOutput) tree.expectedOutput else 0.0)
   }

@@ -1,6 +1,7 @@
 package repro.core
 
 import scala.util.Random
+import Survival.bit
 
 /** Statistics of a single join edge, probing from parent into child.
   *
@@ -42,6 +43,11 @@ final class JoinTree(
 
   /** Number of relations (including the driver). */
   val n: Int = parent.length
+  require(n <= JoinTree.MaxRelations,
+    s"at most ${JoinTree.MaxRelations} relations fit an Int evaluated-set mask, got $n")
+
+  /** The evaluated-set mask with every relation evaluated. */
+  val fullMask: Int = (1 << n) - 1
 
   /** Children adjacency, in node order. */
   val children: Array[List[Int]] = {
@@ -74,11 +80,14 @@ final class JoinTree(
   /** Expected flat result cardinality OUT = N × Π sᵢ (independence). */
   def expectedOutput: Double = (1 until n).foldLeft(driverSize)((acc, i) => acc * stats(i).s)
 
-  /** Nodes whose parent is inside `eval` but which are not themselves
-    * evaluated — the joins eligible to run next in a left-deep plan.
+  /** Nodes whose parent is inside the evaluated set `mask` (bit i = node i)
+    * but which are not themselves evaluated — the joins eligible to run
+    * next in a left-deep plan, in node order.
     */
-  def eligible(eval: Set[Int]): List[Int] =
-    (1 until n).filter(i => !eval(i) && eval(parent(i))).toList
+  def eligible(mask: Int): List[Int] =
+    (1 until n).filter(i => (mask & bit(i)) == 0 && (mask & bit(parent(i))) != 0).toList
+
+  def eligible(eval: Set[Int]): List[Int] = eligible(eval.foldLeft(0)(_ | bit(_)))
 
   override def toString: String =
     s"JoinTree(n=$n, parent=${parent.mkString(",")}, " +
@@ -86,6 +95,11 @@ final class JoinTree(
 }
 
 object JoinTree {
+
+  /** Evaluated sets are Int bitmasks (`Survival.bit`), so bit 31 is the
+    * sign bit and relation 32 would alias the driver.
+    */
+  val MaxRelations = 31
 
   /** Build a tree from (parent, m, fo) triples for nodes 1..n-1, with unit
     * probe costs and the given driver cardinality.

@@ -11,31 +11,6 @@ import scala.util.Random
 object Optimizer {
   import Survival.bit
 
-  // ------------------------------------------------------------------
-  // Step-cost functions: cost of joining `l` next given evaluated `mask`.
-  // Both COM and BVP+COM step costs depend only on (mask, l), which is why
-  // the principle of optimality holds (Thm 3.3) and Algorithm 1 applies.
-  // ------------------------------------------------------------------
-
-  /** COM: c_l × Eq.(1) probes. */
-  def stepCostCom(tree: JoinTree): (Int, Int) => Double =
-    (mask, l) => tree.probeCost(l) * Survival.probesCom(tree, mask, l)
-
-  /** BVP+COM: hash probes plus the (weighted) bitvector applications of l's
-    * children, which fire immediately after l joins.
-    */
-  def stepCostBvpCom(tree: JoinTree, eps: Double, w: Weights): (Int, Int) => Double =
-    (mask, l) => {
-      val e  = Some(eps)
-      var c  = tree.probeCost(l) * Survival.probesCom(tree, mask, l, e)
-      var entries = Survival.entriesAfterJoin(tree, mask | bit(l), l, e)
-      for (ch <- tree.children(l)) {
-        c += w.bv * entries
-        entries *= math.min(1.0, tree.stats(ch).m + eps)
-      }
-      c
-    }
-
   /** STD: c_l × N Π s over the evaluated prefix (mask-determined). */
   def stepCostStd(tree: JoinTree): (Int, Int) => Double =
     (mask, l) => {
@@ -51,14 +26,13 @@ object Optimizer {
 
   /** Optimal order for an additive step-cost function. Enumerates only the
     * *connected* subtrees containing the root (the valid prefixes of
-    * Algorithm 1), so the running time is O(#CTs · n) rather than a blind
-    * O(2^n · n) scan — much faster for non-star trees, exactly as the paper
-    * observes. Returns (order, cost).
+    * Algorithm 1), so the running time is O(#CTs · n log #CTs) rather than a
+    * blind O(2^n · n) scan — much faster for non-star trees, exactly as the
+    * paper observes. Returns (order, cost).
     */
   def exhaustive(tree: JoinTree, stepCost: (Int, Int) => Double): (List[Int], Double) = {
     val n = tree.n
     require(n <= 25, s"exhaustive DP limited to 25 relations, got $n")
-    val full = (1 << n) - 1
 
     // Enumerate connected masks containing the root by BFS expansion.
     val seen  = new java.util.HashSet[Integer]()
@@ -68,77 +42,79 @@ object Optimizer {
     while (!queue.isEmpty) {
       val m = queue.poll().intValue()
       masksBuf += m
-      var i = 1
-      while (i < n) {
-        if ((m & bit(i)) == 0 && (m & bit(tree.parent(i))) != 0) {
-          val m2: Integer = m | bit(i)
-          if (seen.add(m2)) queue.add(m2)
-        }
-        i += 1
+      for (i <- tree.eligible(m)) {
+        val m2: Integer = m | bit(i)
+        if (seen.add(m2)) queue.add(m2)
       }
     }
     val masks = masksBuf.toArray
     java.util.Arrays.sort(masks) // any prefix of a mask is numerically smaller
+    val kids = Array.tabulate(n)(l => tree.children(l).foldLeft(0)((m, c) => m | bit(c)))
 
-    val best   = new java.util.HashMap[Integer, java.lang.Double](masks.length * 2)
-    val choice = new java.util.HashMap[Integer, Integer](masks.length * 2)
-    best.put(1, 0.0)
-    for (mask <- masks if mask != 1) {
+    // best(k) / choice(k): cheapest cost of evaluating masks(k), and the
+    // relation it evaluates last; masks(0) is the driver alone.
+    val best   = new Array[Double](masks.length)
+    val choice = new Array[Int](masks.length)
+    var k      = 1
+    while (k < masks.length) {
+      val mask     = masks(k)
       var bestCost = Double.PositiveInfinity
       var bestL    = -1
       var l        = 1
       while (l < n) {
-        if ((mask & bit(l)) != 0 && !tree.children(l).exists(c => (mask & bit(c)) != 0)) {
+        if ((mask & bit(l)) != 0 && (mask & kids(l)) == 0) {
           val prefix = mask ^ bit(l)
-          val pc     = best.get(prefix: Integer)
-          if (pc != null) {
-            val c = pc.doubleValue() + stepCost(prefix, l)
+          val j      = java.util.Arrays.binarySearch(masks, 0, k, prefix)
+          if (j >= 0) {
+            val c = best(j) + stepCost(prefix, l)
             if (c < bestCost) { bestCost = c; bestL = l }
           }
         }
         l += 1
       }
-      best.put(mask, bestCost)
-      choice.put(mask, bestL)
+      best(k) = bestCost
+      choice(k) = bestL
+      k += 1
     }
 
     var order = List.empty[Int]
-    var cur   = full
-    while (cur != 1) {
-      val l = choice.get(cur: Integer)
-      require(l != null && l >= 0, "DP failed to cover the full mask — tree not connected?")
-      order = l.intValue() :: order
-      cur ^= bit(l.intValue())
+    var cur   = masks.length - 1 // the full mask
+    while (cur != 0) {
+      val l = choice(cur)
+      require(l >= 0, "DP failed to cover the full mask — tree not connected?")
+      order = l :: order
+      cur = java.util.Arrays.binarySearch(masks, 0, cur, masks(cur) ^ bit(l))
     }
-    (order, best.get(full: Integer).doubleValue())
+    (order, best(masks.length - 1))
   }
 
   /** Optimal COM order via Algorithm 1. */
-  def exhaustiveCom(tree: JoinTree): (List[Int], Double) =
-    exhaustive(tree, stepCostCom(tree))
+  def exhaustiveCom(tree: JoinTree): (List[Int], Double) = {
+    val step = new Survival.Step(tree, None)
+    val w    = Weights()
+    exhaustive(tree, step.cost(_, _, w))
+  }
 
   /** Optimal BVP+COM order via Algorithm 1 (Thm 3.3). Adds the constant
     * driver-level bitvector sweep to the returned cost.
     */
   def exhaustiveBvpCom(tree: JoinTree, eps: Double = CostModel.DefaultEps,
                        w: Weights = Weights()): (List[Int], Double) = {
-    val (o, c) = exhaustive(tree, stepCostBvpCom(tree, eps, w))
-    var t      = tree.driverSize
-    var bvInit = 0.0
-    for (ch <- tree.children(0)) { bvInit += t; t *= math.min(1.0, tree.stats(ch).m + eps) }
-    (o, c + w.bv * bvInit)
+    val step   = new Survival.Step(tree, Some(eps))
+    val (o, c) = exhaustive(tree, step.cost(_, _, w))
+    (o, c + w.bv * step.driverBv)
   }
 
   /** Brute force over every valid permutation — test oracle only. */
   def bruteForce(tree: JoinTree, orderCost: Seq[Int] => Double): (List[Int], Double) = {
     var bestOrder = List.empty[Int]
     var bestCost  = Double.PositiveInfinity
-    def rec(eval: Set[Int], acc: List[Int]): Unit =
-      if (eval.size == tree.n) {
+    def rec(mask: Int, acc: List[Int]): Unit =
+      if (mask == tree.fullMask) {
         val c = orderCost(acc.reverse)
         if (c < bestCost) { bestCost = c; bestOrder = acc.reverse }
-      } else tree.eligible(eval).foreach(l => rec(eval + l, l :: acc))
-    rec(Set(0), Nil)
+      } else tree.eligible(mask).foreach(l => rec(mask | bit(l), l :: acc))
+    rec(1, Nil)
     (bestOrder, bestCost)
   }
 
@@ -157,38 +133,35 @@ object Optimizer {
     val all: Seq[Heuristic] = Seq(RankOrdering, ExpectedTuples, SurvivalProb)
   }
 
-  def greedy(tree: JoinTree, h: Heuristic): List[Int] = {
+  /** The precedence walker every heuristic order is built by: from the
+    * driver, repeatedly joins `next(mask, eligible)`, where `eligible` lists
+    * in node order the relations whose parent is in the evaluated set
+    * `mask`.
+    */
+  def walk(tree: JoinTree)(next: (Int, List[Int]) => Int): List[Int] = {
     val order = List.newBuilder[Int]
     var mask  = 1
-    var eval  = Set(0)
-    while (eval.size < tree.n) {
-      val next = tree.eligible(eval).minBy { l =>
-        h match {
-          case Heuristic.RankOrdering =>
-            (tree.stats(l).s - 1.0) / tree.probeCost(l)
-          case Heuristic.ExpectedTuples =>
-            Survival.probesCom(tree, mask, l) * tree.stats(l).s
-          case Heuristic.SurvivalProb =>
-            Survival.treeSurvival(tree, mask | bit(l))
-        }
-      }
-      order += next
-      eval += next
-      mask |= bit(next)
+    while (mask != tree.fullMask) {
+      val l = next(mask, tree.eligible(mask))
+      order += l
+      mask |= bit(l)
     }
     order.result()
   }
 
-  /** A uniformly random valid order (for robustness experiments). */
-  def randomOrder(tree: JoinTree, rng: Random): List[Int] = {
-    val order = List.newBuilder[Int]
-    var eval  = Set(0)
-    while (eval.size < tree.n) {
-      val el   = tree.eligible(eval)
-      val next = el(rng.nextInt(el.length))
-      order += next
-      eval += next
+  def greedy(tree: JoinTree, h: Heuristic): List[Int] = {
+    val score: (Int, Int) => Double = h match {
+      case Heuristic.RankOrdering =>
+        (_, l) => (tree.stats(l).s - 1.0) / tree.probeCost(l)
+      case Heuristic.ExpectedTuples =>
+        (mask, l) => Survival.probesCom(tree, mask, l) * tree.stats(l).s
+      case Heuristic.SurvivalProb =>
+        (mask, l) => Survival.treeSurvival(tree, mask | bit(l))
     }
-    order.result()
+    walk(tree)((mask, eligible) => eligible.minBy(score(mask, _)))
   }
+
+  /** A uniformly random valid order (for robustness experiments). */
+  def randomOrder(tree: JoinTree, rng: Random): List[Int] =
+    walk(tree)((_, eligible) => eligible(rng.nextInt(eligible.length)))
 }

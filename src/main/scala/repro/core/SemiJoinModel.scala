@@ -86,23 +86,13 @@ object SemiJoinModel {
                  tree.driverSize * red(0))
   }
 
-  /** Optimal phase-2 join order for SJ+STD: rank ordering degenerates to
-    * ascending adjusted fanout (all match probabilities are 1), subject to
-    * precedence. Implemented as a greedy eligible-min selection, which is
-    * optimal for the ASI-obeying phase-2 cost function.
+  /** Optimal phase-2 join order for SJ+STD: rank ordering on the reduced
+    * tree, where every m = 1 makes it ascending adjusted fanout, subject to
+    * precedence. This greedy eligible-min selection is optimal for the
+    * ASI-obeying phase-2 cost function.
     */
-  def phase2OrderStd(tree: JoinTree): List[Int] = {
-    val rt    = reducedTree(tree)
-    val order = List.newBuilder[Int]
-    var eval  = Set(0)
-    while (eval.size < rt.n) {
-      val next = rt.eligible(eval)
-        .minBy(l => (rt.stats(l).fo - 1.0) / rt.probeCost(l))
-      order += next
-      eval += next
-    }
-    order.result()
-  }
+  def phase2OrderStd(tree: JoinTree): List[Int] =
+    Optimizer.greedy(reducedTree(tree), Optimizer.Heuristic.RankOrdering)
 
   /** Phase-2 join order for SJ+COM. By Theorem 3.5 the COM cost is
     * order-independent once all match probabilities are 1; we emit the
@@ -112,13 +102,6 @@ object SemiJoinModel {
     val rt = reducedTree(tree)
     def pathFanout(l: Int): Double =
       rt.pathFromRoot(l).filter(_ != 0).map(rt.stats(_).fo).product
-    val order = List.newBuilder[Int]
-    var eval  = Set(0)
-    while (eval.size < rt.n) {
-      val next = rt.eligible(eval).minBy(pathFanout)
-      order += next
-      eval += next
-    }
-    order.result()
+    Optimizer.walk(rt)((_, eligible) => eligible.minBy(pathFanout))
   }
 }

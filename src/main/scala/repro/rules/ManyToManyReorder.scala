@@ -19,7 +19,8 @@ import repro.core.{EdgeStats, JoinTree, Optimizer}
   * (parent column, child column) — in this repository every relation's
   * columns are globally uniquely named, which makes the key unambiguous.
   * Chains with an unknown edge, non-equi conditions, or bushy shapes are
-  * left untouched.
+  * left untouched, and so are chains of more than `JoinTree.MaxRelations`
+  * leaves, sub-chains included.
   *
   * Inject via `spark.experimental.extraOptimizations`. A rebuilt chain is
   * tagged so the fixpoint driver does not re-enter it.
@@ -54,6 +55,16 @@ final case class ManyToManyReorder(
       case other => (List(other), Nil)
     }
 
+  /** Tag the `joins` joins of a chain's left spine so no sub-chain of it
+    * is rewritten either.
+    */
+  @annotation.tailrec
+  private def tagSpine(p: LogicalPlan, joins: Int): Unit =
+    if (joins > 0) stripPrune(p) match {
+      case jj: Join => jj.setTagValue(reorderedTag, true); tagSpine(jj.left, joins - 1)
+      case _        =>
+    }
+
   private def ownerOf(leaves: List[LogicalPlan], a: AttributeReference): Option[Int] = {
     val hits = leaves.zipWithIndex.collect {
       case (p, i) if p.outputSet.exists(_.exprId == a.exprId) => i
@@ -73,6 +84,7 @@ final case class ManyToManyReorder(
     val (leaves, conds) = flatten(j)
     val n = leaves.length
     if (n < 3 || conds.length != n - 1) return None
+    if (n > JoinTree.MaxRelations) { tagSpine(j, n - 1); return None }
 
     // conds(i-1) connects leaf i to exactly one earlier leaf (its parent).
     val parent  = Array.fill(n)(-1)

@@ -108,4 +108,21 @@ class JoinTreeSpec extends AnyFunSuite {
       assert(t.children(0).length >= 2)
     }
   }
+
+  test("31 relations: greedy and random orders are valid") {
+    val rng = new Random(3)
+    for (t <- Seq(JoinTree.star(31, Seq.fill(30)(es)),
+                  JoinTree.random(31, (0.1, 0.9), (1, 5), rng))) {
+      for (h <- Optimizer.Heuristic.all) CostModel.validateOrder(t, Optimizer.greedy(t, h))
+      CostModel.validateOrder(t, Optimizer.randomOrder(t, rng))
+    }
+  }
+
+  test("32 and 33 relations overflow the Int evaluated-set mask and are rejected") {
+    for (n <- Seq(32, 33)) {
+      intercept[IllegalArgumentException](JoinTree.star(n, Seq.fill(n - 1)(es)))
+      intercept[IllegalArgumentException](
+        JoinTree(Seq.tabulate(n - 1)(i => (i, 0.5, 2.0))))
+    }
+  }
 }

@@ -37,6 +37,22 @@ class OptimizerSpec extends AnyFunSuite {
     }
   }
 
+  test("Thm 3.3: DP equals brute force under BVP+COM with probe weight 2") {
+    val rng = new Random(37)
+    val w   = Weights(probe = 2.0)
+    val eps = 0.05
+    def orderCost(tree: JoinTree)(order: Seq[Int]): Double =
+      CostModel.bvpCom(tree, order, flatOutput = false, eps).total(w)
+    for (i <- 0 until 20) {
+      val n    = 4 + rng.nextInt(4)
+      val tree = JoinTree.random(n, (0.05, 0.9), (1, 8), rng, driverSize = 100)
+      val (dpOrder, dpCost) = Optimizer.exhaustiveBvpCom(tree, eps, w)
+      val (_, bfCost)       = Optimizer.bruteForce(tree, orderCost(tree))
+      assert(math.abs(dpCost - bfCost) <= 1e-6 * math.max(1.0, bfCost), s"tree $i")
+      assert(math.abs(orderCost(tree)(dpOrder) - dpCost) <= 1e-6 * math.max(1.0, dpCost))
+    }
+  }
+
   test("DP handles the 20-node star (the worst case for subtree count)") {
     val rng  = new Random(19)
     val tree = JoinTree.star(20,

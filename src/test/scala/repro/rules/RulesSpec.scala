@@ -1,9 +1,11 @@
 package repro.rules
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.catalyst.plans.LeftSemi
-import org.apache.spark.sql.catalyst.plans.logical.Join
+import org.apache.spark.sql.catalyst.expressions.{AttributeReference, EqualTo}
+import org.apache.spark.sql.catalyst.plans.{Inner, LeftSemi}
+import org.apache.spark.sql.catalyst.plans.logical.{Join, JoinHint, LocalRelation, LogicalPlan}
 import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.IntegerType
 import repro.SparkSpec
 import repro.core.{EdgeStats, JoinTree}
 import repro.data.TreeData
@@ -122,5 +124,22 @@ class RulesSpec extends SparkSpec {
       assert(countSemiJoins(df) >= 1)
       repro.Oracle.assertEquivalent(df, q.flatSql, q.oracleTables: _*)
     }
+  }
+
+  test("ManyToManyReorder leaves a chain of more than 31 leaves untouched") {
+    // Star chain k0 ⋈ k1 ⋈ ... with falling m: the survival heuristic wants
+    // the last leaf first, so any chain it may search is rewritten.
+    def starChain(leaves: Int): LogicalPlan = {
+      val rels = (0 until leaves).map(i => LocalRelation(AttributeReference(s"k$i", IntegerType)()))
+      rels.tail.foldLeft(rels.head: LogicalPlan) { (acc, r) =>
+        Join(acc, r, Inner, Some(EqualTo(rels.head.output.head, r.output.head)), JoinHint.NONE)
+      }
+    }
+    val rule = ManyToManyReorder((_, cc) =>
+      cc.stripPrefix("k").toIntOption.map(i => EdgeStats(1.0 - i / 100.0, 2.0)))
+    val searched = starChain(13)
+    assert(rule(searched) != searched)
+    val wide = starChain(33)
+    assert(rule(wide) == wide)
   }
 }
