@@ -15,6 +15,11 @@ import repro.core.{EdgeStats, JoinTree}
   */
 object GraphData {
 
+  private val log = org.slf4j.LoggerFactory.getLogger(getClass)
+
+  /** Fanout cap of the statistics `aliasQuery` hands the optimizer. */
+  private val MaxFanout = 15.0
+
   /** A named dataset configuration: vertex count, edge count, zipf skew. */
   final case class Config(name: String, vertices: Long, edges: Long, alpha: Double)
 
@@ -66,8 +71,10 @@ object GraphData {
     // Naive §3.2 estimates for a dst→src self-join, identical on all edges.
     val m  = math.min(1.0, vSrc / math.max(vSrc, vDst))
     val fo = eCount / vSrc
+    if (fo > MaxFanout)
+      log.warn(f"aliasQuery: estimated fanout $fo%.3f clamped to $MaxFanout%.1f in the join-tree statistics")
     val tree = JoinTree(
-      parents.drop(1).map(p => (p, m, math.min(fo, 15.0))),
+      parents.drop(1).map(p => (p, m, math.min(fo, MaxFanout))),
       driverSize = eCount,
     )
     TreeQuery(

@@ -17,7 +17,8 @@ import repro.core.JoinTree
   *  - a child row's own key is `parentKey·16 + copyIndex`, which keeps key
   *    columns row-unique and fully deterministic without shuffles — the
   *    property the paper's cost formulas assume (a child row matches
-  *    exactly one parent row). Requires fo < 16 and bounded depth.
+  *    exactly one parent row). Requires fo < 16 and
+  *    4·depth + ⌈log₂(N+1)⌉ ≤ 63, so the deepest key fits in a Long.
   *
   * Everything is expressed in the DataFrame API; no RDD-level code.
   */
@@ -60,6 +61,11 @@ object TreeData {
   def generate(spark: SparkSession, tree: JoinTree, seed: Long = 42L): TreeQuery = {
     val n = tree.n
     val driverN = math.max(1L, math.round(tree.driverSize))
+    val depth   = (0 until n).map(tree.depth).max
+    val keyBits = 4 * depth + (64 - java.lang.Long.numberOfLeadingZeros(driverN))
+    require(keyBits <= 63,
+      s"key packing overflows a Long: depth $depth with driver size $driverN needs " +
+        s"4·$depth + ⌈log₂($driverN+1)⌉ = $keyBits bits (at most 63)")
     val rels = new Array[DataFrame](n)
     rels(0) = spark.range(1, driverN + 1).select(
       col("id").as("k0"),

@@ -13,15 +13,22 @@ final case class ExecResult(flat: Option[DataFrame], log: ProbeLog)
 /** Shared helpers for the executors. */
 private[engine] object ExecUtil {
 
-  /** Distinct join-key set of relation l — the exact-filter analog of the
-    * paper's bitvector (ε = 0); see DESIGN.md §3.
+  /** Values of `c` in `df`, as the single key column "v". Duplicates are
+    * kept: a left-semi build side tolerates them.
     */
-  def filterSet(q: TreeQuery, l: Int): DataFrame =
-    q.rels(l).select(col(q.childCol(l)).as("v")).distinct()
+  def keys(df: DataFrame, c: String): DataFrame = df.select(col(c).as("v"))
 
-  /** Semi-join `df` against `keys`(column "v") on `df.onCol`. */
+  /** Join-key set of relation l — the exact-filter analog of the paper's
+    * bitvector (ε = 0); see DESIGN.md §3.
+    */
+  def filterSet(q: TreeQuery, l: Int): DataFrame = keys(q.rels(l), q.childCol(l))
+
+  /** Semi-join `df` against `keys` (column "v") on `df.onCol`. The key side
+    * is broadcast — the paper's hash table / bitvector — while the global
+    * `autoBroadcastJoinThreshold = -1` keeps every other join shuffled.
+    */
   def semi(df: DataFrame, onCol: String, keys: DataFrame): DataFrame =
-    df.join(keys, col(onCol) === keys.col("v"), "left_semi")
+    df.join(broadcast(keys), col(onCol) === keys.col("v"), "left_semi")
 
   def timed[A](body: => A): (A, Long) = {
     val t0 = System.nanoTime()
@@ -70,26 +77,38 @@ object StdExecutor {
 
 /** COM execution (§4.2–4.3): the factorized representation, realized as one
   * DataFrame `A(i)` of *matched entries* per join-tree node, with survival
-  * ("selection vector") semantics recomputed from the match sets.
+  * ("selection vector") semantics kept incrementally, following the §3.3
+  * recursion for m_T.
   *
-  * Probes into relation l = alive entries at l's parent level, where an
-  * entry is alive iff (a) its own evaluated subtree still has a full match
-  * chain (bottom-up `survKeys`) and (b) its ancestors along the path are
-  * alive w.r.t. their other evaluated branches (top-down walk). This is the
+  * `down(i)` holds the entries of `A(i)` that survive i's evaluated subtree
+  * (bottom-up: `down(i) = A(i) ⋉ keys(down(c))` over i's evaluated
+  * children c). When relation l joins, only the path l → root changes, so
+  * only those sets are updated, one semi-join per level. Alive entries at p
+  * are the top-down semi-join over the `down` sets of root → p; that each
+  * path node is also filtered by its on-path child removes only entries with
+  * no match below, so it changes no alive entry at p.
+  *
+  * Probes into relation l = alive entries at l's parent level — the
   * executable mirror of Eq. (1). With `bvp`, every `A(i)` is additionally
   * filtered at creation time by the key sets of i's future children —
   * bitvectors applied as soon as the attribute exists.
+  *
+  * Every `A(l)` (the first `down(l)`) and `down` update is checkpointed
+  * lazily: the lineage is cut, so plans stay O(depth) however many steps
+  * ran, and no job of its own runs. Counting off, step l starts one
+  * broadcast job per semi-join it builds — depth(parent(l)) for the alive
+  * walk, one for the probe, depth(l) for the update: two on a star. The
+  * factorized count is one more action.
   */
 object ComExecutor {
 
   def run(q: TreeQuery, order: Seq[Int], counting: Boolean = true,
           bvp: Boolean = false, flatOutput: Boolean = true): ExecResult = {
     CostModel.validateOrder(q.tree, order)
-    val t  = q.tree
-    val A  = new Array[DataFrame](t.n)
-    var ht = Map.empty[Int, Long]
-    var bv = 0L
-    var eval = Set(0)
+    val t    = q.tree
+    val down = new Array[DataFrame](t.n)
+    var ht   = Map.empty[Int, Long]
+    var bv   = 0L
 
     /** Apply pending bitvectors of `i`'s children to `df` (entries at i's
       * level), charging bitvector probes.
@@ -103,64 +122,44 @@ object ComExecutor {
       df
     }
 
-    /** Distinct childCol values of i's entries that survive i's evaluated
-      * subtree (bottom-up survival).
-      */
-    def survKeys(i: Int): DataFrame = {
-      var b = A(i)
-      for (c <- t.children(i) if eval(c))
-        b = ExecUtil.semi(b, q.parentCol(c), survKeys(c))
-      b.select(col(q.childCol(i)).as("v")).distinct()
-    }
+    /** Entries of `down(c)` whose parent entry is in `parentAlive`. */
+    def below(parentAlive: DataFrame, c: Int): DataFrame =
+      ExecUtil.semi(down(c), q.childCol(c), ExecUtil.keys(parentAlive, q.parentCol(c)))
 
-    /** Alive entries at node p's level: top-down walk along root → p,
-      * filtering every path node by its evaluated off-path branches.
-      */
-    def aliveEntries(p: Int): DataFrame = {
-      val path = t.pathFromRoot(p)
-      var cur: DataFrame = null
-      for (idx <- path.indices) {
-        val a      = path(idx)
-        val onPath = if (idx + 1 < path.length) path(idx + 1) else -1
-        cur =
-          if (a == 0) A(0)
-          else ExecUtil.semi(A(a), q.childCol(a),
-            cur.select(col(q.parentCol(a)).as("v")).distinct())
-        for (c <- t.children(a) if eval(c) && c != onPath)
-          cur = ExecUtil.semi(cur, q.parentCol(c), survKeys(c))
-      }
-      cur
-    }
+    def aliveEntries(p: Int): DataFrame =
+      t.pathFromRoot(p).tail.foldLeft(down(0))(below)
 
     val (out, ms) = ExecUtil.timed {
-      // localCheckpoint (not persist): the alive/survival computation
-      // re-derives plans over every prior A(i), so logical-plan size — and
-      // with it Catalyst analysis time — grows super-linearly with depth
-      // unless the lineage is truncated at each step.
-      A(0) = (if (bvp) applyChildBvs(0, q.rels(0)) else q.rels(0)).localCheckpoint()
+      down(0) = if (bvp) applyChildBvs(0, q.rels(0)).localCheckpoint(eager = false) else q.rels(0)
 
       for (l <- order) {
         val alive = aliveEntries(t.parent(l))
         if (counting) ht += l -> alive.count()
-        val probeKeys = alive.select(col(q.parentCol(l)).as("v")).distinct()
-        var al = q.rels(l).join(probeKeys, col(q.childCol(l)) === col("v"), "left_semi")
-        eval += l
+        var al = ExecUtil.semi(q.rels(l), q.childCol(l), ExecUtil.keys(alive, q.parentCol(l)))
         if (bvp) al = applyChildBvs(l, al)
-        A(l) = al.localCheckpoint()
+        down(l) = al.localCheckpoint(eager = false)
+        var c = l
+        while (c != 0) {
+          val a = t.parent(c)
+          down(a) = ExecUtil.semi(down(a), q.parentCol(c), ExecUtil.keys(down(c), q.childCol(c)))
+            .localCheckpoint(eager = false)
+          c = a
+        }
       }
 
       if (flatOutput) {
         // Expansion: fold the factorized vectors back into flat tuples.
-        var cur = A(0)
+        var cur = down(0)
         for (l <- 1 until t.n)
-          cur = cur.join(A(l), col(q.parentCol(l)) === col(q.childCol(l)))
+          cur = cur.join(down(l), col(q.parentCol(l)) === col(q.childCol(l)))
         val flat = cur.select(q.outputCols.map(col): _*)
         (Some(flat), flat.count())
       } else {
-        // Factorized output: materialize every node's alive entries.
-        var entries = 0L
-        for (i <- 0 until t.n) entries += aliveEntries(i).count()
-        (None, entries)
+        // Factorized output: every node's alive entries, counted in one action.
+        val alive = new Array[DataFrame](t.n)
+        alive(0) = down(0)
+        for (i <- 1 until t.n) alive(i) = below(alive(t.parent(i)), i)
+        (None, alive.map(_.select(lit(1).as("e"))).reduce(_ union _).count())
       }
     }
     ExecResult(out._1, ProbeLog(ht, bv, 0L, out._2, ms))
@@ -191,11 +190,10 @@ object SjExecutor {
         }
         for (c <- kids) {
           if (counting) semiCnt += r.count()
-          r = ExecUtil.semi(r, q.parentCol(c),
-            reduced(c).select(col(q.childCol(c)).as("v")).distinct())
+          r = ExecUtil.semi(r, q.parentCol(c), ExecUtil.keys(reduced(c), q.childCol(c)))
         }
         // Truncate lineage: phase 2 re-derives plans over these reductions.
-        if (kids.nonEmpty) r = r.localCheckpoint()
+        if (kids.nonEmpty) r = r.localCheckpoint(eager = false)
         reduced(i) = r
       }
     }

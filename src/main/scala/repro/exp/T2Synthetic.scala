@@ -16,7 +16,8 @@ import repro.engine.Engine
   * STD variants whose *estimated* cost exceeds `probeCap` are reported as
   * TIMEOUT, mirroring the paper's timed-out red data points; queries are
   * re-drawn until the expected output fits `outCap` (the paper filtered
-  * queries by result size the same way).
+  * queries by result size the same way). When 100 re-draws do not fit, the
+  * last draw runs anyway and its rows carry status `over-cap`.
   */
 object T2Synthetic {
 
@@ -66,6 +67,7 @@ object T2Synthetic {
       q.rels.foreach(r => { r.persist(); r.count() })
       val order   = Optimizer.greedy(tree, Optimizer.Heuristic.SurvivalProb)
       val mrLabel = s"[${mr._1},${mr._2}]"
+      val status  = if (tree.expectedOutput > outCap) "over-cap" else "ok"
       try {
         for (a <- Approach.all) {
           val est = CostModel.cost(tree, order, a, flatOutput = true)
@@ -73,13 +75,13 @@ object T2Synthetic {
             rows += RunRow(shape, mrLabel, a.name, "flat", "TIMEOUT", -1L, -1.0)
           } else {
             val res = Engine.run(q, order, a, counting = counting, flatOutput = true)
-            rows += RunRow(shape, mrLabel, a.name, "flat", "ok",
+            rows += RunRow(shape, mrLabel, a.name, "flat", status,
               res.log.wallMs, res.log.weighted(w))
           }
         }
         for (a <- Seq(Approach.Com)) {
           val res = Engine.run(q, order, a, counting = counting, flatOutput = false)
-          rows += RunRow(shape, mrLabel, a.name, "factorized", "ok",
+          rows += RunRow(shape, mrLabel, a.name, "factorized", status,
             res.log.wallMs, res.log.weighted(w))
         }
       } finally q.rels.foreach(_.unpersist(blocking = false))
@@ -89,20 +91,21 @@ object T2Synthetic {
 
   def table(rows: Seq[RunRow]): Seq[String] = {
     // Ratio vs the COM flat run of the same (shape, mRange).
+    def ran(r: RunRow) = r.status != "TIMEOUT"
     val base = rows.collect {
-      case r if r.approach == "COM" && r.outMode == "flat" && r.status == "ok" =>
+      case r if r.approach == "COM" && r.outMode == "flat" && ran(r) =>
         (r.shape, r.mRange) -> r
     }.toMap
     val out = rows.map { r =>
       val b = base.get((r.shape, r.mRange))
       val (rw, rp) = b match {
-        case Some(c) if r.status == "ok" && c.wallMs > 0 && c.weighted > 0 =>
+        case Some(c) if ran(r) && c.wallMs > 0 && c.weighted > 0 =>
           (r.wallMs.toDouble / c.wallMs, r.weighted / c.weighted)
         case _ => (-1.0, -1.0)
       }
       Seq(r.shape, r.mRange, r.approach, r.outMode, r.status,
-        if (r.status == "ok") r.wallMs.toString else "-",
-        if (r.status == "ok") Tables.fmt(r.weighted) else "-",
+        if (ran(r)) r.wallMs.toString else "-",
+        if (ran(r)) Tables.fmt(r.weighted) else "-",
         if (rw > 0) Tables.fmt(rw) else "-",
         if (rp > 0) Tables.fmt(rp) else "-")
     }

@@ -99,6 +99,13 @@ class TreeDataSpec extends SparkSpec {
     intercept[IllegalArgumentException](TreeData.generate(spark, t).rels(1).count())
   }
 
+  test("a path too deep for key packing is rejected") {
+    // 4·15 + ⌈log₂(101)⌉ = 67 bits > 63
+    val t = JoinTree((0 until 15).map(i => (i, 0.5, 1.0)), driverSize = 100)
+    val e = intercept[IllegalArgumentException](TreeData.generate(spark, t))
+    assert(e.getMessage.contains("depth 15") && e.getMessage.contains("driver size 100"))
+  }
+
   test("flatSql and oracleTables agree with a direct Spark join") {
     val flat = q.rels(0)
       .join(q.rels(1), col("k0") === col("fk1"))

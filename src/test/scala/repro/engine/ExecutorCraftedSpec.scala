@@ -106,6 +106,14 @@ class ExecutorCraftedSpec extends SparkSpec {
     assert(r.log.outRows == 4L)
   }
 
+  test("COM probes, order [3,1,2]: R3 filters the root before R2 probes: 4, 2, 2") {
+    val r = ComExecutor.run(q, Seq(3, 1, 2))
+    // R3 keeps driver {1, 3}; R1 then keeps {1}; R2 probes R1's {11, 12}.
+    assert(r.log.htProbes == Map(3 -> 4L, 1 -> 2L, 2 -> 2L))
+    assert(r.log.outRows == 1L)
+    assert(ComExecutor.run(q, Seq(3, 1, 2), flatOutput = false).log.outRows == 4L)
+  }
+
   test("counting=false skips probe accounting but still answers") {
     val r = ComExecutor.run(q, Seq(1, 2, 3), counting = false)
     assert(r.log.htProbes.isEmpty)

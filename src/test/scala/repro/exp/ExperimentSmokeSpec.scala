@@ -69,6 +69,17 @@ class ExperimentSmokeSpec extends AnyFunSuite {
     assert(agg <= 1.0, s"aggregate mean difference $agg")
   }
 
+  test("T2 table keeps the measurements of an over-cap draw and shows its status") {
+    val rows = Seq(
+      T2Synthetic.RunRow("star7", "[0.5,0.9]", "COM", "flat", "over-cap", 200L, 100.0),
+      T2Synthetic.RunRow("star7", "[0.5,0.9]", "STD", "flat", "over-cap", 400L, 300.0),
+      T2Synthetic.RunRow("star7", "[0.5,0.9]", "BVP+STD", "flat", "TIMEOUT", -1L, -1.0))
+    val lines = T2Synthetic.table(rows)
+    val std   = lines.find(l => l.contains(" STD ") && l.contains("over-cap")).get
+    assert(std.contains("400") && std.contains("2.00") && std.contains("3.00"), std)
+    assert(lines.exists(l => l.contains("TIMEOUT")))
+  }
+
   test("Tables.percentile and render behave") {
     val xs = Seq(1.0, 2.0, 3.0, 4.0)
     assert(Tables.percentile(xs, 50) == 2.0)
