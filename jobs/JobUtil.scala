@@ -3,8 +3,9 @@ package jobs
 import org.apache.spark.sql.SparkSession
 
 /** Shared bootstrap for the `jobs.Run` entrypoint: one local session,
-  * modest shuffle parallelism (the datasets are small), broadcast joins off
-  * so the shuffle join path is exercised (same configuration as the tests).
+  * modest shuffle parallelism (the datasets are small), automatic broadcast
+  * joins off so only the executors' own `broadcast()` hints pick build sides
+  * (same configuration as the tests).
   */
 object JobUtil {
   def session(app: String): SparkSession = {

@@ -38,7 +38,8 @@ object Estimation {
 
   /** Correlated-sampling estimator: draw a uniform sample of R, count each
     * sampled tuple's matches in S; m = fraction matched, fo = mean matches
-    * among the matched.
+    * among the matched. The k-row sample is the broadcast build side of the
+    * sample ⋈ S join, so S is probed in place, without a shuffle.
     */
   def sampled(r: DataFrame, rKey: String, s: DataFrame, sKey: String,
               sampleSize: Int, seed: Long): Stats = {
@@ -47,7 +48,7 @@ object Estimation {
       .persist()
     try {
       val k = sample.count().toDouble
-      val counts = sample
+      val counts = broadcast(sample)
         .join(s, sample(rKey) === s(sKey))
         .groupBy("__rid").agg(count(lit(1)).as("c"))
         .agg(count(lit(1)).as("matched"), sum(col("c")).as("total"))

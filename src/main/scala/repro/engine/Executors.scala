@@ -24,8 +24,9 @@ private[engine] object ExecUtil {
   def filterSet(q: TreeQuery, l: Int): DataFrame = keys(q.rels(l), q.childCol(l))
 
   /** Semi-join `df` against `keys` (column "v") on `df.onCol`. The key side
-    * is broadcast — the paper's hash table / bitvector — while the global
-    * `autoBroadcastJoinThreshold = -1` keeps every other join shuffled.
+    * is broadcast — the paper's hash table / bitvector. Every join the
+    * executors build names its build side this way; the global
+    * `autoBroadcastJoinThreshold = -1` keeps Spark from choosing one itself.
     */
   def semi(df: DataFrame, onCol: String, keys: DataFrame): DataFrame =
     df.join(broadcast(keys), col(onCol) === keys.col("v"), "left_semi")
@@ -42,6 +43,10 @@ private[engine] object ExecUtil {
   * applied to the stream the moment its join attribute becomes available —
   * driver-attribute bitvectors before the first join, the rest immediately
   * after the parent's join.
+  *
+  * Every join is a broadcast hash join whose build side is relation l
+  * itself, never the growing intermediate: the pipeline is one query whose
+  * broadcasts run concurrently, with no shuffle or sort.
   *
   * Probes into relation l's hash table = rows of the intermediate entering
   * the join (measured with count() when `counting`); bitvector probes =
@@ -64,7 +69,7 @@ object StdExecutor {
       if (bvp) applyBvs(0)
       for (l <- order) {
         if (counting) ht += l -> cur.count()
-        cur = cur.join(q.rels(l), col(q.parentCol(l)) === col(q.childCol(l)))
+        cur = cur.join(broadcast(q.rels(l)), col(q.parentCol(l)) === col(q.childCol(l)))
         if (bvp) applyBvs(l)
       }
       val flat = cur.select(q.outputCols.map(col): _*)
@@ -76,29 +81,38 @@ object StdExecutor {
 }
 
 /** COM execution (§4.2–4.3): the factorized representation, realized as one
-  * DataFrame `A(i)` of *matched entries* per join-tree node, with survival
-  * ("selection vector") semantics kept incrementally, following the §3.3
-  * recursion for m_T.
+  * DataFrame of entries per join-tree node, with survival ("selection
+  * vector") semantics kept incrementally, following the §3.3 recursion for
+  * m_T.
   *
-  * `down(i)` holds the entries of `A(i)` that survive i's evaluated subtree
-  * (bottom-up: `down(i) = A(i) ⋉ keys(down(c))` over i's evaluated
-  * children c). When relation l joins, only the path l → root changes, so
-  * only those sets are updated, one semi-join per level. Alive entries at p
-  * are the top-down semi-join over the `down` sets of root → p; that each
-  * path node is also filtered by its on-path child removes only entries with
-  * no match below, so it changes no alive entry at p.
+  * `down(i)` holds the rows of relation i that survive i's evaluated
+  * subtree: it starts as `R_i` (under `bvp`, `R_i` filtered by the key sets
+  * of i's children — bitvectors applied as soon as the attribute exists)
+  * and becomes `down(i) ⋉ keys(down(c))` once each child c is evaluated.
+  * When relation l joins, only the path l → root changes, so only those
+  * sets are updated, one semi-join per level; the first key side is `R_l`,
+  * an input.
+  *
+  * Alive entries at p are the top-down semi-join over the `down` sets of
+  * root → p. `down` carries no top-down filter: the root → p walk
+  * re-applies every ancestor's, and alive sets only shrink from one step to
+  * the next, so an entry alive now had an alive parent when it arrived and
+  * the alive sets equal those of `A(i) = R_i ⋉ keys(alive(parent(i)))`.
   *
   * Probes into relation l = alive entries at l's parent level — the
-  * executable mirror of Eq. (1). With `bvp`, every `A(i)` is additionally
-  * filtered at creation time by the key sets of i's future children —
-  * bitvectors applied as soon as the attribute exists.
+  * executable mirror of Eq. (1); bitvector probes are counted on the
+  * arriving entries `R_l ⋉ keys(alive(parent(l)))`. With counting off, a
+  * step builds no alive walk at all.
   *
-  * Every `A(l)` (the first `down(l)`) and `down` update is checkpointed
-  * lazily: the lineage is cut, so plans stay O(depth) however many steps
-  * ran, and no job of its own runs. Counting off, step l starts one
-  * broadcast job per semi-join it builds — depth(parent(l)) for the alive
-  * walk, one for the probe, depth(l) for the update: two on a star. The
-  * factorized count is one more action.
+  * A DataFrame is checkpointed (`localCheckpoint(eager = false)`) only when
+  * a second action or a broadcast will read it: counting off, every
+  * non-root `down` update (the key side of the next level's update) and an
+  * internal node's alive set in the factorized count (read by each child);
+  * counting on, also every counted alive set and root update, which the
+  * next step's `count()` reads again. A star's `down(0)` is never
+  * checkpointed, so an uncounted star COM run is a single query. The flat
+  * expansion joins `down(0)` with every broadcast `down(l)`, a pipeline like
+  * STD's whose build sides are bounded by the input.
   */
 object ComExecutor {
 
@@ -110,13 +124,13 @@ object ComExecutor {
     var ht   = Map.empty[Int, Long]
     var bv   = 0L
 
-    /** Apply pending bitvectors of `i`'s children to `df` (entries at i's
-      * level), charging bitvector probes.
+    /** `df` (entries at i's level) filtered by the key sets of i's children;
+      * with `charge`, every entry entering a filter is a bitvector probe.
       */
-    def applyChildBvs(i: Int, df0: DataFrame): DataFrame = {
+    def childBvs(i: Int, df0: DataFrame, charge: Boolean): DataFrame = {
       var df = df0
       for (c <- t.children(i)) {
-        if (counting) bv += df.count()
+        if (charge) bv += df.count()
         df = ExecUtil.semi(df, q.parentCol(c), ExecUtil.filterSet(q, c))
       }
       df
@@ -126,23 +140,26 @@ object ComExecutor {
     def below(parentAlive: DataFrame, c: Int): DataFrame =
       ExecUtil.semi(down(c), q.childCol(c), ExecUtil.keys(parentAlive, q.parentCol(c)))
 
-    def aliveEntries(p: Int): DataFrame =
-      t.pathFromRoot(p).tail.foldLeft(down(0))(below)
+    def cut(df: DataFrame): DataFrame = df.localCheckpoint(eager = false)
 
     val (out, ms) = ExecUtil.timed {
-      down(0) = if (bvp) applyChildBvs(0, q.rels(0)).localCheckpoint(eager = false) else q.rels(0)
+      down(0) = if (bvp) childBvs(0, q.rels(0), counting) else q.rels(0)
 
       for (l <- order) {
-        val alive = aliveEntries(t.parent(l))
-        if (counting) ht += l -> alive.count()
-        var al = ExecUtil.semi(q.rels(l), q.childCol(l), ExecUtil.keys(alive, q.parentCol(l)))
-        if (bvp) al = applyChildBvs(l, al)
-        down(l) = al.localCheckpoint(eager = false)
+        if (counting) {
+          val alive = cut(t.pathFromRoot(t.parent(l)).tail.foldLeft(down(0))(below))
+          ht += l -> alive.count()
+          if (bvp) childBvs(l, ExecUtil.semi(q.rels(l), q.childCol(l),
+            ExecUtil.keys(alive, q.parentCol(l))), charge = true)
+        }
+        down(l) = if (bvp) childBvs(l, q.rels(l), charge = false) else q.rels(l)
         var c = l
         while (c != 0) {
           val a = t.parent(c)
           down(a) = ExecUtil.semi(down(a), q.parentCol(c), ExecUtil.keys(down(c), q.childCol(c)))
-            .localCheckpoint(eager = false)
+          // down(a) is the key side of the next level's update (a ≠ root),
+          // or is read by the next step's count (counting on).
+          if (a != 0 || counting) down(a) = cut(down(a))
           c = a
         }
       }
@@ -151,14 +168,16 @@ object ComExecutor {
         // Expansion: fold the factorized vectors back into flat tuples.
         var cur = down(0)
         for (l <- 1 until t.n)
-          cur = cur.join(down(l), col(q.parentCol(l)) === col(q.childCol(l)))
+          cur = cur.join(broadcast(down(l)), col(q.parentCol(l)) === col(q.childCol(l)))
         val flat = cur.select(q.outputCols.map(col): _*)
         (Some(flat), flat.count())
       } else {
         // Factorized output: every node's alive entries, counted in one action.
         val alive = new Array[DataFrame](t.n)
-        alive(0) = down(0)
-        for (i <- 1 until t.n) alive(i) = below(alive(t.parent(i)), i)
+        for (i <- 0 until t.n) {
+          val a = if (i == 0) down(0) else below(alive(t.parent(i)), i)
+          alive(i) = if (t.children(i).nonEmpty) cut(a) else a
+        }
         (None, alive.map(_.select(lit(1).as("e"))).reduce(_ union _).count())
       }
     }

@@ -7,9 +7,12 @@ import repro.SparkSpec
 import repro.core.{Approach, EdgeStats, JoinTree, Optimizer}
 import repro.data.{TreeData, TreeQuery}
 
-/** The number of Spark jobs one `Engine.run` starts with counting off: COM
-  * keeps its surviving-key sets incrementally, so a step costs a bounded
-  * number of jobs (two broadcasts) however deep the tree or long the order.
+/** The number of Spark jobs one `Engine.run` starts. Every hash table is a
+  * broadcast build side over a relation, so an uncounted STD run is one
+  * query: one broadcast job per join plus the final count. COM keeps its
+  * surviving-key sets incrementally and checkpoints only what is read
+  * twice, so a star COM run is one query as well, and counted runs re-read
+  * checkpoints instead of re-deriving subtrees.
   */
 class ExecutorJobsSpec extends SparkSpec {
 
@@ -26,8 +29,18 @@ class ExecutorJobsSpec extends SparkSpec {
     q
   }
 
+  private lazy val pathTree = JoinTree.centeredPath(7, Seq.fill(6)(EdgeStats(0.7, 2.0)),
+    driverSize = 2000)
+  private lazy val pathOrder = Optimizer.greedy(pathTree, Optimizer.Heuristic.SurvivalProb)
+  private lazy val path: TreeQuery = {
+    val q = TreeData.generate(spark, pathTree, seed = 62L)
+    q.rels.foreach { r => r.persist(); r.count() }
+    q
+  }
+
   override def afterAll(): Unit = {
     q.rels.foreach(_.unpersist(blocking = true))
+    path.rels.foreach(_.unpersist(blocking = true))
     super.afterAll()
   }
 
@@ -69,6 +82,12 @@ class ExecutorJobsSpec extends SparkSpec {
     (res.log.outRows, n)
   }
 
+  /** Jobs of one run on the centered 7-path. */
+  private def pathJobs(a: Approach, flat: Boolean = true, counting: Boolean = false): Int = {
+    val query = path // generated and cached outside the measured run
+    jobsOf(Engine.run(query, pathOrder, a, counting, flatOutput = flat))._2
+  }
+
   test("factorized COM on a 7-relation star starts at most 2n + 2 jobs") {
     val (_, n) = jobs(Approach.Com, flat = false)
     assert(n <= 2 * tree.n + 2, s"$n jobs")
@@ -85,5 +104,28 @@ class ExecutorJobsSpec extends SparkSpec {
     assert(expected > 0)
     for (a <- Approach.all)
       assert(jobs(a, flat = true)._1 == expected, a.name)
+  }
+
+  test("STD is one broadcast pipeline: at most n + 1 jobs on the 7-star and the centered 7-path") {
+    val (_, star) = jobs(Approach.Std, flat = true)
+    assert(star <= tree.n + 1, s"star: $star jobs")
+    val p = pathJobs(Approach.Std)
+    assert(p <= pathTree.n + 1, s"path: $p jobs")
+  }
+
+  test("flat COM on the 7-star starts at most STD's jobs + n") {
+    val (_, std) = jobs(Approach.Std, flat = true)
+    val (_, com) = jobs(Approach.Com, flat = true)
+    assert(com <= std + tree.n, s"COM $com jobs, STD $std jobs")
+  }
+
+  test("factorized COM on the 7-star starts at most n + 3 jobs") {
+    val (_, n) = jobs(Approach.Com, flat = false)
+    assert(n <= tree.n + 3, s"$n jobs")
+  }
+
+  test("counted COM on the centered 7-path starts at most 6n jobs") {
+    val n = pathJobs(Approach.Com, counting = true)
+    assert(n <= 6 * pathTree.n, s"$n jobs")
   }
 }
